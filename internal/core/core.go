@@ -136,18 +136,22 @@ func (s *ThreeSided) Delete(p geom.Point) (bool, error) {
 	return s.t.Delete(p)
 }
 
-// Query implements Index.
+// Query implements Index. The 3-sided answer is appended to dst and a
+// bounded top is then filtered in place, so the query allocates only
+// when dst must grow.
 func (s *ThreeSided) Query(dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
-	res, err := s.t.Query3(nil, geom.Query3{XLo: q.XLo, XHi: q.XHi, YLo: q.YLo})
+	start := len(dst)
+	res, err := s.t.Query3(dst, geom.Query3{XLo: q.XLo, XHi: q.XHi, YLo: q.YLo})
 	if err != nil {
 		return dst, err
 	}
-	for _, p := range res {
+	out := res[:start]
+	for _, p := range res[start:] {
 		if p.Y <= q.YHi {
-			dst = append(dst, p)
+			out = append(out, p)
 		}
 	}
-	return dst, nil
+	return out, nil
 }
 
 // Query3 answers a native 3-sided query at the optimal bound.

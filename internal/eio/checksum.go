@@ -1,9 +1,6 @@
 package eio
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-)
+import "hash/crc32"
 
 // castagnoli is the CRC-32C polynomial table used for all on-disk
 // checksums (the same polynomial iSCSI, ext4 and Btrfs use; hardware
@@ -17,9 +14,14 @@ func crc32c(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 // mixed in ahead of the contents so that a page written to the wrong
 // offset (a misdirected write) also fails verification, not just a page
 // whose bytes were damaged in place.
+//
+// The id's 8 little-endian bytes are folded in byte by byte from the
+// table (crc32.Update would move an id buffer to the heap on every page
+// I/O); the result equals crc32.Update over the id bytes then the data.
 func pageCRC(id PageID, data []byte) uint32 {
-	var idb [8]byte
-	binary.LittleEndian.PutUint64(idb[:], uint64(id))
-	c := crc32.Update(0, castagnoli, idb[:])
-	return crc32.Update(c, castagnoli, data)
+	c := ^uint32(0)
+	for i := 0; i < 8; i++ {
+		c = castagnoli[byte(c)^byte(id>>(8*i))] ^ c>>8
+	}
+	return crc32.Update(^c, castagnoli, data)
 }

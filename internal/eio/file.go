@@ -50,6 +50,10 @@ type FileStore struct {
 	seq      uint64 // v2: superblock sequence number of the last flush
 	stats    Stats
 	closed   bool
+	// slot is the one on-disk page slot (page plus trailer) every page
+	// transfer stages through, so reads and writes allocate nothing. mu
+	// guards it; bytes taken from it never outlive the lock.
+	slot []byte
 }
 
 var _ Store = (*FileStore)(nil)
@@ -230,42 +234,48 @@ func (fs *FileStore) off(id PageID) int64 {
 	return superRegionSize + int64(id-1)*int64(fs.slotSize())
 }
 
-// writePage writes data (one page) with a fresh trailer. Callers hold mu.
-func (fs *FileStore) writePage(id PageID, data []byte, flags uint32) error {
-	if fs.ver == 1 {
-		if _, err := fs.f.WriteAt(data, fs.off(id)); err != nil {
-			return fmt.Errorf("eio: write page %d: %w", id, err)
-		}
-		return nil
+// slotBuf returns the reusable page-slot buffer. Callers hold mu.
+func (fs *FileStore) slotBuf() []byte {
+	if fs.slot == nil {
+		fs.slot = make([]byte, fs.slotSize())
 	}
-	slot := make([]byte, fs.slotSize())
-	copy(slot, data)
-	binary.LittleEndian.PutUint32(slot[fs.pageSize:], pageCRC(id, slot[:fs.pageSize]))
-	binary.LittleEndian.PutUint32(slot[fs.pageSize+4:], flags)
+	return fs.slot
+}
+
+// writePage writes data, zero-padded to a whole page, with a fresh
+// trailer (v2). Callers hold mu.
+func (fs *FileStore) writePage(id PageID, data []byte, flags uint32) error {
+	slot := fs.slotBuf()
+	n := copy(slot[:fs.pageSize], data)
+	clear(slot[n:fs.pageSize])
+	if fs.ver == 2 {
+		binary.LittleEndian.PutUint32(slot[fs.pageSize:], pageCRC(id, slot[:fs.pageSize]))
+		binary.LittleEndian.PutUint32(slot[fs.pageSize+4:], flags)
+	}
 	if _, err := fs.f.WriteAt(slot, fs.off(id)); err != nil {
 		return fmt.Errorf("eio: write page %d: %w", id, err)
 	}
 	return nil
 }
 
-// readPage reads page id into buf[:pageSize], verifying the v2 trailer,
-// and returns the trailer flags (pageFlagData for v1). Callers hold mu.
-func (fs *FileStore) readPage(id PageID, buf []byte) (uint32, error) {
-	if fs.ver == 1 {
-		if _, err := fs.f.ReadAt(buf[:fs.pageSize], fs.off(id)); err != nil {
-			return 0, fmt.Errorf("eio: read page %d: %w", id, err)
-		}
-		return pageFlagData, nil
-	}
-	slot := make([]byte, fs.slotSize())
+// readPage reads page id into the slot buffer, verifies the v2 trailer,
+// and returns the page's bytes and trailer flags (pageFlagData for v1).
+// The bytes alias the slot buffer: they are valid only until mu is
+// released, and the caller copies out what it keeps. A checksum mismatch
+// returns ErrChecksum and no bytes. Callers hold mu.
+func (fs *FileStore) readPage(id PageID) ([]byte, uint32, error) {
+	slot := fs.slotBuf()
 	if _, err := fs.f.ReadAt(slot, fs.off(id)); err != nil {
-		return 0, fmt.Errorf("eio: read page %d: %w", id, err)
+		return nil, 0, fmt.Errorf("eio: read page %d: %w", id, err)
 	}
-	if binary.LittleEndian.Uint32(slot[fs.pageSize:]) != pageCRC(id, slot[:fs.pageSize]) {
-		return 0, fmt.Errorf("eio: page %d: %w", id, ErrChecksum)
+	page := slot[:fs.pageSize]
+	if fs.ver == 1 {
+		return page, pageFlagData, nil
 	}
-	copy(buf[:fs.pageSize], slot)
-	return binary.LittleEndian.Uint32(slot[fs.pageSize+4:]), nil
+	if binary.LittleEndian.Uint32(slot[fs.pageSize:]) != pageCRC(id, page) {
+		return nil, 0, fmt.Errorf("eio: page %d: %w", id, ErrChecksum)
+	}
+	return page, binary.LittleEndian.Uint32(slot[fs.pageSize+4:]), nil
 }
 
 // PageSize implements Store.
@@ -279,46 +289,35 @@ func (fs *FileStore) Alloc() (PageID, error) {
 		return NilPage, fmt.Errorf("eio: alloc on closed store")
 	}
 	fs.stats.Allocs++
-	zero := make([]byte, fs.pageSize)
 	if fs.freeHead != NilPage {
 		id := fs.freeHead
-		var next PageID
-		if fs.ver == 1 {
-			var nb [8]byte
-			if _, err := fs.f.ReadAt(nb[:], fs.off(id)); err != nil {
-				return NilPage, fmt.Errorf("eio: pop free list: %w", err)
-			}
-			next = PageID(binary.LittleEndian.Uint64(nb[:]))
-		} else {
-			buf := make([]byte, fs.pageSize)
-			if _, err := fs.readPage(id, buf); err != nil {
-				return NilPage, fmt.Errorf("eio: pop free list: %w", err)
-			}
-			// The next pointer lives in the first 8 bytes. After a crash
-			// the head may be a page whose allocation was never committed
-			// (trailer says data, contents zeroed): its zero next pointer
-			// simply ends the list, which conservatively leaks the
-			// remainder — detected and reported by VerifyFile.
-			next = PageID(binary.LittleEndian.Uint64(buf[:8]))
+		page, _, err := fs.readPage(id)
+		if err != nil {
+			return NilPage, fmt.Errorf("eio: pop free list: %w", err)
 		}
-		fs.freeHead = next
+		// The next pointer lives in the first 8 bytes. After a crash the
+		// head may be a page whose allocation was never committed
+		// (trailer says data, contents zeroed): its zero next pointer
+		// simply ends the list, which conservatively leaks the remainder
+		// — detected and reported by VerifyFile.
+		fs.freeHead = PageID(binary.LittleEndian.Uint64(page[:8]))
 		fs.nfree--
-		if err := fs.writePage(id, zero, pageFlagData); err != nil {
+		if err := fs.writePage(id, nil, pageFlagData); err != nil {
 			return NilPage, fmt.Errorf("eio: zero reused page: %w", err)
 		}
 		return id, nil
 	}
 	id := PageID(fs.npages)
 	fs.npages++
-	if err := fs.writePage(id, zero, pageFlagData); err != nil {
+	if err := fs.writePage(id, nil, pageFlagData); err != nil {
 		return NilPage, fmt.Errorf("eio: extend file: %w", err)
 	}
 	return id, nil
 }
 
-// Free implements Store. Under format v2 the page is rewritten as a zeroed
-// free-list node with a valid checksum, so a later verification scan can
-// tell freed pages from damaged ones.
+// Free implements Store. The page is rewritten as a zeroed free-list node
+// (under format v2 with a valid checksum, so a later verification scan can
+// tell freed pages from damaged ones).
 func (fs *FileStore) Free(id PageID) error {
 	if id == NilPage {
 		return nil
@@ -329,18 +328,10 @@ func (fs *FileStore) Free(id PageID) error {
 		return err
 	}
 	fs.stats.Frees++
-	if fs.ver == 1 {
-		var next [8]byte
-		binary.LittleEndian.PutUint64(next[:], uint64(fs.freeHead))
-		if _, err := fs.f.WriteAt(next[:], fs.off(id)); err != nil {
-			return fmt.Errorf("eio: push free list: %w", err)
-		}
-	} else {
-		node := make([]byte, fs.pageSize)
-		binary.LittleEndian.PutUint64(node[:8], uint64(fs.freeHead))
-		if err := fs.writePage(id, node, pageFlagFree); err != nil {
-			return fmt.Errorf("eio: push free list: %w", err)
-		}
+	var next [8]byte
+	binary.LittleEndian.PutUint64(next[:], uint64(fs.freeHead))
+	if err := fs.writePage(id, next[:], pageFlagFree); err != nil {
+		return fmt.Errorf("eio: push free list: %w", err)
 	}
 	fs.freeHead = id
 	fs.nfree++
@@ -348,7 +339,8 @@ func (fs *FileStore) Free(id PageID) error {
 }
 
 // Read implements Store. Under format v2 a trailer mismatch fails with
-// ErrChecksum and reading a freed page fails with ErrBadPage.
+// ErrChecksum and reading a freed page fails with ErrBadPage; on any
+// failure buf is left untouched.
 func (fs *FileStore) Read(id PageID, buf []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -359,13 +351,14 @@ func (fs *FileStore) Read(id PageID, buf []byte) error {
 		return fmt.Errorf("eio: read buffer %d bytes: %w", len(buf), ErrPageSize)
 	}
 	fs.stats.Reads++
-	flags, err := fs.readPage(id, buf)
+	page, flags, err := fs.readPage(id)
 	if err != nil {
 		return err
 	}
 	if flags == pageFlagFree {
 		return fmt.Errorf("eio: page %d is freed: %w", id, ErrBadPage)
 	}
+	copy(buf, page)
 	return nil
 }
 
@@ -437,10 +430,9 @@ func (fs *FileStore) LivePageIDs() ([]PageID, error) {
 		return nil, fmt.Errorf("eio: access to closed store")
 	}
 	var ids []PageID
-	buf := make([]byte, fs.pageSize)
 	for id := PageID(1); uint64(id) < fs.npages; id++ {
 		fs.stats.Reads++
-		flags, err := fs.readPage(id, buf)
+		_, flags, err := fs.readPage(id)
 		if err != nil {
 			ids = append(ids, id) // torn page: conservatively live
 			continue
@@ -473,8 +465,7 @@ func (fs *FileStore) EnsurePage(id PageID) error {
 		return fmt.Errorf("eio: access to closed store")
 	}
 	if uint64(id) < fs.npages {
-		buf := make([]byte, fs.pageSize)
-		flags, err := fs.readPage(id, buf)
+		_, flags, err := fs.readPage(id)
 		if err != nil {
 			return nil // torn page: a follow-up Write rewrites it whole
 		}
@@ -483,9 +474,8 @@ func (fs *FileStore) EnsurePage(id PageID) error {
 		}
 		return nil
 	}
-	zero := make([]byte, fs.pageSize)
 	for next := PageID(fs.npages); next <= id; next++ {
-		if err := fs.writePage(next, zero, pageFlagData); err != nil {
+		if err := fs.writePage(next, nil, pageFlagData); err != nil {
 			return fmt.Errorf("eio: ensure page %d: %w", next, err)
 		}
 		fs.npages++

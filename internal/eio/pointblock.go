@@ -38,14 +38,6 @@ func EncodePoints(buf []byte, pts []geom.Point) int {
 	return len(pts) * PointSize
 }
 
-// DecodePoints unpacks n points from buf, appending to dst.
-func DecodePoints(dst []geom.Point, buf []byte, n int) []geom.Point {
-	for i := 0; i < n; i++ {
-		dst = append(dst, GetPoint(buf, i*PointSize))
-	}
-	return dst
-}
-
 // WritePointBlock allocates (if id is NilPage) or overwrites a page with
 // pts and returns the page id. len(pts) must be at most BlockCapacity.
 func WritePointBlock(s Store, id PageID, pts []geom.Point) (PageID, error) {
@@ -69,9 +61,29 @@ func WritePointBlock(s Store, id PageID, pts []geom.Point) (PageID, error) {
 
 // ReadPointBlock reads n points from page id, appending to dst.
 func ReadPointBlock(dst []geom.Point, s Store, id PageID, n int) ([]geom.Point, error) {
-	buf := make([]byte, s.PageSize())
+	return FilterPointBlock(dst, s, id, n, nil)
+}
+
+// FilterPointBlock reads page id and appends to dst each of its first n
+// points that keep accepts (every point when keep is nil). The points are
+// decoded straight off a pooled page buffer, released before
+// FilterPointBlock returns, so with a pre-sized dst the read allocates
+// nothing. A count beyond the block's capacity fails with ErrBadRecord.
+func FilterPointBlock(dst []geom.Point, s Store, id PageID, n int, keep func(geom.Point) bool) ([]geom.Point, error) {
+	ps := s.PageSize()
+	if n < 0 || n > BlockCapacity(ps) {
+		return dst, fmt.Errorf("eio: page %d: %d points exceed block capacity %d: %w", id, n, BlockCapacity(ps), ErrBadRecord)
+	}
+	pb := borrowPage(ps)
+	defer releasePage(pb)
+	buf := *pb
 	if err := s.Read(id, buf); err != nil {
 		return dst, err
 	}
-	return DecodePoints(dst, buf, n), nil
+	for off := 0; off < n*PointSize; off += PointSize {
+		if p := GetPoint(buf, off); keep == nil || keep(p) {
+			dst = append(dst, p)
+		}
+	}
+	return dst, nil
 }

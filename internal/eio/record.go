@@ -3,6 +3,7 @@ package eio
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // RecordStore stores variable-length byte records on a Store as chains of
@@ -21,6 +22,11 @@ const (
 	chainNextOff  = 0
 	chainHdrFirst = 16 // next + length
 	chainHdrRest  = 8  // next only
+
+	// maxRecordPrealloc caps how far AppendRecord grows its destination
+	// from the length a head page claims, so a corrupt length fails as a
+	// truncated chain instead of as a huge allocation.
+	maxRecordPrealloc = 1 << 20
 )
 
 // NewRecordStore returns a RecordStore over s.
@@ -68,7 +74,9 @@ func (r *RecordStore) Update(id PageID, data []byte) error {
 // are released best-effort so a failed grow does not leak.
 func (r *RecordStore) write(reuse PageID, data []byte) (PageID, error) {
 	ps := r.s.PageSize()
-	buf := make([]byte, ps)
+	pb := borrowPage(ps)
+	defer releasePage(pb)
+	buf := *pb
 
 	// Collect reusable pages from the old chain.
 	var reusable []PageID
@@ -149,34 +157,47 @@ func freeAll(s Store, ids []PageID) {
 	}
 }
 
-// Get reads the record id in full.
+// Get reads the record id in full into a new slice.
 func (r *RecordStore) Get(id PageID) ([]byte, error) {
+	return r.AppendRecord(nil, id)
+}
+
+// AppendRecord appends the contents of record id to dst and returns the
+// extended slice: the read into a caller-owned buffer. A caller that
+// passes the same buffer back as dst[:0] reads without allocating once
+// the buffer has grown to the record's length. The chain's pages stage
+// through a pooled page buffer released before AppendRecord returns. On
+// error dst is returned at its original length.
+func (r *RecordStore) AppendRecord(dst []byte, id PageID) ([]byte, error) {
 	if id == NilPage {
-		return nil, fmt.Errorf("eio: get of nil record: %w", ErrBadRecord)
+		return dst, fmt.Errorf("eio: get of nil record: %w", ErrBadRecord)
 	}
 	ps := r.s.PageSize()
-	buf := make([]byte, ps)
+	pb := borrowPage(ps)
+	defer releasePage(pb)
+	buf := *pb
 	if err := r.s.Read(id, buf); err != nil {
-		return nil, err
+		return dst, err
 	}
 	next := PageID(binary.LittleEndian.Uint64(buf[chainNextOff:]))
 	length := int(binary.LittleEndian.Uint64(buf[8:]))
 	if length < 0 || length > 1<<40 {
-		return nil, fmt.Errorf("eio: record %d length %d: %w", id, length, ErrBadRecord)
+		return dst, fmt.Errorf("eio: record %d length %d: %w", id, length, ErrBadRecord)
 	}
-	out := make([]byte, 0, length)
-	out = append(out, buf[chainHdrFirst:min(ps, chainHdrFirst+length)]...)
-	for next != NilPage && len(out) < length {
+	base := len(dst)
+	dst = slices.Grow(dst, min(length, maxRecordPrealloc))
+	dst = append(dst, buf[chainHdrFirst:min(ps, chainHdrFirst+length)]...)
+	for next != NilPage && len(dst)-base < length {
 		if err := r.s.Read(next, buf); err != nil {
-			return nil, err
+			return dst[:base], err
 		}
 		next = PageID(binary.LittleEndian.Uint64(buf[chainNextOff:]))
-		out = append(out, buf[chainHdrRest:min(ps, chainHdrRest+length-len(out))]...)
+		dst = append(dst, buf[chainHdrRest:min(ps, chainHdrRest+length-(len(dst)-base))]...)
 	}
-	if len(out) != length {
-		return nil, fmt.Errorf("eio: record %d truncated (%d of %d bytes): %w", id, len(out), length, ErrBadRecord)
+	if got := len(dst) - base; got != length {
+		return dst[:base], fmt.Errorf("eio: record %d truncated (%d of %d bytes): %w", id, got, length, ErrBadRecord)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Delete frees every page of the record id.
@@ -203,8 +224,9 @@ func (r *RecordStore) Chain(id PageID) ([]PageID, error) { return r.chain(id) }
 
 // chain returns the page ids of record id in order.
 func (r *RecordStore) chain(id PageID) ([]PageID, error) {
-	ps := r.s.PageSize()
-	buf := make([]byte, ps)
+	pb := borrowPage(r.s.PageSize())
+	defer releasePage(pb)
+	buf := *pb
 	var pages []PageID
 	for cur := id; cur != NilPage; {
 		if err := r.s.Read(cur, buf); err != nil {

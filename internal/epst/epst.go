@@ -47,6 +47,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"rangesearch/internal/eio"
 	"rangesearch/internal/geom"
@@ -228,21 +230,32 @@ func (t *Tree) Height() (int, error) {
 }
 
 func (t *Tree) loadMeta() (*meta, error) {
-	raw, err := t.rs.Get(t.hdr)
+	m := new(meta)
+	if _, err := t.readMeta(m, nil); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// readMeta reads the header record into m, using rec as the record
+// buffer, and returns rec for reuse.
+func (t *Tree) readMeta(m *meta, rec []byte) ([]byte, error) {
+	rec, err := t.rs.AppendRecord(rec[:0], t.hdr)
 	if err != nil {
-		return nil, fmt.Errorf("epst: load header: %w", err)
+		return rec, fmt.Errorf("epst: load header: %w", err)
 	}
-	if len(raw) != metaSize {
-		return nil, fmt.Errorf("epst: header length %d", len(raw))
+	if len(rec) != metaSize {
+		return rec, fmt.Errorf("epst: header length %d", len(rec))
 	}
-	return &meta{
-		root:   eio.PageID(binary.LittleEndian.Uint64(raw[0:])),
-		height: int(binary.LittleEndian.Uint32(raw[8:])),
-		live:   int64(binary.LittleEndian.Uint64(raw[12:])),
-		basis:  int64(binary.LittleEndian.Uint64(raw[20:])),
-		a:      int32(binary.LittleEndian.Uint32(raw[28:])),
-		k:      int32(binary.LittleEndian.Uint32(raw[32:])),
-	}, nil
+	*m = meta{
+		root:   eio.PageID(binary.LittleEndian.Uint64(rec[0:])),
+		height: int(binary.LittleEndian.Uint32(rec[8:])),
+		live:   int64(binary.LittleEndian.Uint64(rec[12:])),
+		basis:  int64(binary.LittleEndian.Uint64(rec[20:])),
+		a:      int32(binary.LittleEndian.Uint32(rec[28:])),
+		k:      int32(binary.LittleEndian.Uint32(rec[32:])),
+	}
+	return rec, nil
 }
 
 func (t *Tree) storeMeta(m *meta) error {
@@ -365,30 +378,33 @@ func encodeNode(n *node) []byte {
 	return out
 }
 
-func decodeNode(raw []byte) (*node, error) {
+// decode is the inverse of encodeNode. It overwrites n, reusing the
+// storage of its entries and keys.
+func (n *node) decode(raw []byte) error {
 	if len(raw) < 8 {
-		return nil, fmt.Errorf("epst: node record too short")
+		return fmt.Errorf("epst: node record too short")
 	}
 	level := int(binary.LittleEndian.Uint32(raw[0:]))
 	count := int(binary.LittleEndian.Uint32(raw[4:]))
-	n := &node{level: level}
+	n.level, n.q = level, eio.NilPage
+	n.entries, n.keys = n.entries[:0], n.keys[:0]
 	if level == 0 {
 		if len(raw) != 8+17*count {
-			return nil, fmt.Errorf("epst: leaf record length %d for %d keys", len(raw), count)
+			return fmt.Errorf("epst: leaf record length %d for %d keys", len(raw), count)
 		}
-		n.keys = make([]keyEntry, count)
+		n.keys = slices.Grow(n.keys, count)[:count]
 		off := 8
 		for i := 0; i < count; i++ {
 			n.keys[i] = keyEntry{p: eio.GetPoint(raw, off), here: raw[off+16] == 1}
 			off += 17
 		}
-		return n, nil
+		return nil
 	}
 	if len(raw) != 16+nodeEntrySize*count {
-		return nil, fmt.Errorf("epst: node record length %d for %d entries", len(raw), count)
+		return fmt.Errorf("epst: node record length %d for %d entries", len(raw), count)
 	}
 	n.q = eio.PageID(binary.LittleEndian.Uint64(raw[8:]))
-	n.entries = make([]entry, count)
+	n.entries = slices.Grow(n.entries, count)[:count]
 	off := 16
 	for i := 0; i < count; i++ {
 		n.entries[i] = entry{
@@ -399,16 +415,42 @@ func decodeNode(raw []byte) (*node, error) {
 		}
 		off += nodeEntrySize
 	}
-	return n, nil
+	return nil
 }
 
 func (t *Tree) readNode(id eio.PageID) (*node, error) {
-	raw, err := t.rs.Get(id)
-	if err != nil {
-		return nil, fmt.Errorf("epst: read node: %w", err)
+	n := new(node)
+	if _, err := t.readNodeInto(n, id, nil); err != nil {
+		return nil, err
 	}
-	return decodeNode(raw)
+	return n, nil
 }
+
+// readNodeInto reads node id into n, reusing n's storage and rec as the
+// record buffer, and returns rec for reuse.
+func (t *Tree) readNodeInto(n *node, id eio.PageID, rec []byte) ([]byte, error) {
+	rec, err := t.rs.AppendRecord(rec[:0], id)
+	if err != nil {
+		return rec, fmt.Errorf("epst: read node: %w", err)
+	}
+	return rec, n.decode(rec)
+}
+
+// queryScratch is the working storage of one 3-sided query: the record
+// buffer every header and node read decodes from, one decoded-node slot
+// per depth of the descent (a node's entries are still needed after its
+// children return), and the small-structure handle and decode storage
+// re-attached at every internal node. A query takes one from
+// queryScratches and puts it back when it returns, so concurrent queries
+// never share one.
+type queryScratch struct {
+	rec   []byte
+	nodes []*node
+	q     smallstruct.Struct
+	qs    smallstruct.Scratch
+}
+
+var queryScratches = sync.Pool{New: func() any { return new(queryScratch) }}
 
 func (t *Tree) writeNode(id eio.PageID, n *node) (eio.PageID, error) {
 	raw := encodeNode(n)

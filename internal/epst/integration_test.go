@@ -95,7 +95,9 @@ func TestThroughBufferPool(t *testing.T) {
 }
 
 // TestNodeSerializationRoundTrip checks encode/decode stability for both
-// node kinds, including edge shapes.
+// node kinds, including edge shapes. Every record decodes into the same
+// reused node, as a query's per-depth slots do, so a decode must leave
+// nothing of a previous node of either kind behind.
 func TestNodeSerializationRoundTrip(t *testing.T) {
 	nodes := []*node{
 		{level: 0},
@@ -108,11 +110,12 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 			{maxKey: geom.Point{X: 1, Y: 2}, child: 7, weight: 1234567890123, ysize: 0},
 			{maxKey: geom.Point{X: geom.MaxCoord, Y: geom.MaxCoord}, child: 9, weight: 1, ysize: 255},
 		}},
+		{level: 0},
 	}
+	got := new(node)
 	for i, n := range nodes {
 		raw := encodeNode(n)
-		got, err := decodeNode(raw)
-		if err != nil {
+		if err := got.decode(raw); err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
 		if got.level != n.level || got.q != n.q ||
@@ -136,10 +139,10 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 		}
 	}
 	// Corrupt input is rejected, not crashed on.
-	if _, err := decodeNode([]byte{1, 2, 3}); err == nil {
+	if err := new(node).decode([]byte{1, 2, 3}); err == nil {
 		t.Fatal("short record accepted")
 	}
-	if _, err := decodeNode(make([]byte, 40)); err == nil {
+	if err := new(node).decode(make([]byte, 40)); err == nil {
 		t.Fatal("inconsistent record accepted")
 	}
 }

@@ -14,16 +14,28 @@ func (t *Tree) Query3(dst []geom.Point, q geom.Query3) ([]geom.Point, error) {
 	if q.Empty() {
 		return dst, nil
 	}
-	m, err := t.loadMeta()
-	if err != nil {
+	sc := queryScratches.Get().(*queryScratch)
+	defer func() {
+		sc.q = smallstruct.Struct{} // drop the store reference while pooled
+		queryScratches.Put(sc)
+	}()
+	var m meta
+	var err error
+	if sc.rec, err = t.readMeta(&m, sc.rec); err != nil {
 		return dst, err
 	}
-	return t.query(m.root, dst, q)
+	return t.query(sc, 0, m.root, dst, q)
 }
 
-func (t *Tree) query(id eio.PageID, dst []geom.Point, q geom.Query3) ([]geom.Point, error) {
-	n, err := t.readNode(id)
-	if err != nil {
+// query reports the subtree of node id at the given depth into dst,
+// decoding the node into the depth's slot of sc.
+func (t *Tree) query(sc *queryScratch, depth int, id eio.PageID, dst []geom.Point, q geom.Query3) ([]geom.Point, error) {
+	if depth == len(sc.nodes) {
+		sc.nodes = append(sc.nodes, new(node))
+	}
+	n := sc.nodes[depth]
+	var err error
+	if sc.rec, err = t.readNodeInto(n, id, sc.rec); err != nil {
 		return dst, err
 	}
 	if n.level == 0 {
@@ -34,15 +46,14 @@ func (t *Tree) query(id eio.PageID, dst []geom.Point, q geom.Query3) ([]geom.Poi
 		}
 		return dst, nil
 	}
-	qs, err := t.openQ(n.q)
-	if err != nil {
+	if err := sc.q.Reopen(t.store, n.q, t.alpha, &sc.qs); err != nil {
 		return dst, err
 	}
-	res, err := qs.Query3(nil, q)
-	if err != nil {
+	start := len(dst)
+	if dst, err = sc.q.Query3With(dst, q, &sc.qs); err != nil {
 		return dst, err
 	}
-	dst = append(dst, res...)
+	end := len(dst) // dst[start:end] is this node's report
 
 	leftIdx := routeChild(n, geom.Point{X: q.XLo, Y: geom.MinCoord})
 	rightIdx := routeChild(n, geom.Point{X: q.XHi, Y: geom.MaxCoord})
@@ -58,7 +69,7 @@ func (t *Tree) query(id eio.PageID, dst []geom.Point, q geom.Query3) ([]geom.Poi
 			// children never need a visit even when fully reported.
 			if 2*ys >= t.b {
 				cnt := 0
-				for _, p := range res {
+				for _, p := range dst[start:end] {
 					if inChildRange(n, i, p) {
 						cnt++
 					}
@@ -67,7 +78,7 @@ func (t *Tree) query(id eio.PageID, dst []geom.Point, q geom.Query3) ([]geom.Poi
 			}
 		}
 		if visit {
-			dst, err = t.query(n.entries[i].child, dst, q)
+			dst, err = t.query(sc, depth+1, n.entries[i].child, dst, q)
 			if err != nil {
 				return dst, err
 			}

@@ -244,9 +244,14 @@ func (p *Proxy) logf(format string, args ...interface{}) {
 // untransmitted data and sends a reset on Close), so each peer sees
 // ECONNRESET mid-frame rather than a clean EOF. Reports whether this
 // call performed the reset (false if the connection was already cut).
-func (c *proxyConn) reset() bool {
+// A non-nil cuts is incremented before either half closes, so the cut is
+// in Stats by the time a peer can observe it.
+func (c *proxyConn) reset(cuts *atomic.Uint64) bool {
 	if !c.cut.CompareAndSwap(false, true) {
 		return false
+	}
+	if cuts != nil {
+		cuts.Add(1)
 	}
 	for _, conn := range []net.Conn{c.client, c.upstream} {
 		if tc, ok := conn.(*net.TCPConn); ok {
@@ -260,9 +265,7 @@ func (c *proxyConn) reset() bool {
 // cutConn is a fault-injected reset: it counts toward Stats.Cuts, unlike
 // the reset propagation the pumps do when one side dies on its own.
 func (p *Proxy) cutConn(c *proxyConn) {
-	if c.reset() {
-		p.cuts.Add(1)
-	}
+	c.reset(&p.cuts)
 }
 
 func (p *Proxy) snapshotFaults() faults {
@@ -374,10 +377,12 @@ func (p *Proxy) pump(wg *sync.WaitGroup, c *proxyConn, src, dst net.Conn, counte
 				buf[bit/8] ^= 1 << (bit % 8)
 				p.corruptions.Add(1)
 			}
+			// Count before writing, so Stats already include any byte
+			// a peer has seen.
+			counter.Add(uint64(n))
 			if _, werr := dst.Write(buf[:n]); werr != nil {
 				return
 			}
-			counter.Add(uint64(n))
 			if moved := c.moved.Add(int64(n)); f.cutAfter > 0 && moved >= f.cutAfter {
 				p.logf("netfault: cutting connection after %d bytes", moved)
 				p.cutConn(c)
@@ -395,7 +400,7 @@ func (p *Proxy) pump(wg *sync.WaitGroup, c *proxyConn, src, dst net.Conn, counte
 				// the peer learns immediately; leaving the other half
 				// alive would strand a blocked client on its own read
 				// deadline (tens of seconds) instead.
-				c.reset()
+				c.reset(nil)
 				return
 			}
 			// Half-close: propagate EOF downstream, stop this pump.

@@ -215,8 +215,12 @@ func TestResilientBusyRetry(t *testing.T) {
 	ts := newTestServer(t, Config{MaxInFlight: 1, RetryAfterHint: time.Millisecond, Metrics: m})
 	defer ts.shutdown(t)
 
-	// Occupy the single admission token with a big batch on a plain
-	// connection while the resilient client hammers inserts.
+	// Occupy the single admission token with a batch on a plain
+	// connection, parked at the commit gate until the resilient client has
+	// been shed at least once. Nothing here depends on how long the batch
+	// takes to execute.
+	hold := make(chan struct{})
+	ts.conc.SetCommitGate(func() error { <-hold; return nil })
 	blocker := ts.dial(t)
 	entries := make([]BatchEntry, 2000)
 	for i := range entries {
@@ -228,14 +232,30 @@ func TestResilientBusyRetry(t *testing.T) {
 	if err := blocker.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
+	waitUntil(t, "the blocker batch takes the admission token", func() bool { return m.InFlight() == 1 })
 
+	// The client sleeps only after a BUSY reply. On its first such sleep
+	// the test waits for the server to have counted the shed request,
+	// releases the gate and reads the batch's reply: the server frees the
+	// token before it answers, so every later attempt is admitted.
 	var hinted time.Duration
+	var released bool
+	var blockerErr error
 	rc := NewResilient(ts.addr, ResilientOptions{
 		Retry: RetryPolicy{
 			MaxAttempts: 200,
 			BaseDelay:   time.Microsecond,
 			MaxDelay:    10 * time.Microsecond,
-			Sleep:       func(d time.Duration) { hinted += d; time.Sleep(50 * time.Microsecond) },
+			Sleep: func(d time.Duration) {
+				hinted += d
+				if released {
+					return
+				}
+				released = true
+				waitUntil(t, "the server counts a BUSY", func() bool { return m.Busy() > 0 })
+				close(hold)
+				_, blockerErr = blocker.Recv()
+			},
 		},
 		Seed: 6,
 	})
@@ -250,16 +270,34 @@ func TestResilientBusyRetry(t *testing.T) {
 			t.Fatalf("insert %d: status %d, want OK after BUSY retries", i, resp.Status)
 		}
 	}
-	if _, err := blocker.Recv(); err != nil {
-		t.Fatalf("batch Recv: %v", err)
+	if !released {
+		t.Fatal("the client never slept on a BUSY while the token was held")
 	}
-	if m.Busy() > 0 {
-		if rc.Stats().BusyRetries == 0 {
-			t.Fatalf("server shed %d requests but client retried none", m.Busy())
+	if blockerErr != nil {
+		t.Fatalf("batch Recv: %v", blockerErr)
+	}
+	if m.Busy() == 0 {
+		t.Fatal("server shed no request while the token was held")
+	}
+	if rc.Stats().BusyRetries == 0 {
+		t.Fatalf("server shed %d requests but client retried none", m.Busy())
+	}
+	if hinted == 0 {
+		t.Fatal("BUSY retries never slept the hinted backoff")
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test if it has not
+// after ten seconds: it waits on an event the test has caused, so the
+// limit only turns a hang into a failure.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
 		}
-		if hinted == 0 {
-			t.Fatal("BUSY retries never slept the hinted backoff")
-		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 

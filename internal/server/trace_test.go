@@ -19,25 +19,59 @@ import (
 // captureRecorder is a SpanRecorder that retains every record, keyed for
 // lookup by trace ID.
 type captureRecorder struct {
-	mu   sync.Mutex
-	recs []trace.Record
+	mu      sync.Mutex
+	recs    []trace.Record
+	changed chan struct{} // closed by the next RecordSpan; nil until awaited
 }
 
 func (c *captureRecorder) RecordSpan(r trace.Record) {
 	c.mu.Lock()
 	c.recs = append(c.recs, r)
+	if c.changed != nil {
+		close(c.changed)
+		c.changed = nil
+	}
 	c.mu.Unlock()
 }
 
-func (c *captureRecorder) find(id trace.ID) (trace.Record, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, r := range c.recs {
-		if r.TraceID == id.String() {
-			return r, true
+// await blocks until done holds for the records so far and reports
+// whether it did: the server records a span after flushing the reply, so
+// a client can read the reply before the span arrives. It gives up after
+// ten seconds, when a span still missing counts as never recorded.
+func (c *captureRecorder) await(done func([]trace.Record) bool) bool {
+	timeout := time.After(10 * time.Second)
+	for {
+		c.mu.Lock()
+		if done(c.recs) {
+			c.mu.Unlock()
+			return true
+		}
+		if c.changed == nil {
+			c.changed = make(chan struct{})
+		}
+		changed := c.changed
+		c.mu.Unlock()
+		select {
+		case <-changed:
+		case <-timeout:
+			return false
 		}
 	}
-	return trace.Record{}, false
+}
+
+// find returns the record of trace id, waiting for it to arrive.
+func (c *captureRecorder) find(id trace.ID) (trace.Record, bool) {
+	var rec trace.Record
+	ok := c.await(func(recs []trace.Record) bool {
+		for _, r := range recs {
+			if r.TraceID == id.String() {
+				rec = r
+				return true
+			}
+		}
+		return false
+	})
+	return rec, ok
 }
 
 func (c *captureRecorder) all() []trace.Record {
@@ -321,10 +355,11 @@ func TestTracedLoadSoak(t *testing.T) {
 	if rep.TracedOps == 0 {
 		t.Fatalf("soak stamped no traces: %+v", rep)
 	}
-	t.Logf("traced soak: %d ops, %d traced, %d spans recorded", rep.Ops, rep.TracedOps, len(rec.all()))
-
-	// Every client-stamped request must have produced exactly one span.
+	// Every client-stamped request must have produced exactly one span;
+	// the last ones are recorded after their replies flush.
+	rec.await(func(recs []trace.Record) bool { return len(recs) >= int(rep.TracedOps) })
 	spans := rec.all()
+	t.Logf("traced soak: %d ops, %d traced, %d spans recorded", rep.Ops, rep.TracedOps, len(spans))
 	if len(spans) != int(rep.TracedOps) {
 		t.Fatalf("spans recorded = %d, traced ops = %d", len(spans), rep.TracedOps)
 	}

@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"rangesearch/internal/eio"
 	"rangesearch/internal/geom"
@@ -44,18 +45,29 @@ const DefaultAlpha = 2
 // record (O(1) pages) and the index blocks it needs.
 type Struct struct {
 	store   eio.Store
-	rs      *eio.RecordStore
+	rs      eio.RecordStore
 	b       int
 	alpha   int
 	bufCap  int // 0 = default B/2
 	catalog eio.PageID
 }
 
+// Scratch is reusable decode storage for reading small structures: the
+// raw catalog record, the catalog decoded from it, and the tombstone set.
+// The zero value is ready to use. A Scratch serves one call at a time —
+// never share one between concurrent calls — and each call that uses it
+// overwrites what the previous one left.
+type Scratch struct {
+	raw []byte
+	cat catalogData
+}
+
 // catalogData is the decoded catalog.
 type catalogData struct {
 	blocks []blockMeta
-	ins    []geom.Point // buffered insertions, not yet in blocks
-	dels   []geom.Point // buffered deletions (tombstones on block contents)
+	ins    []geom.Point        // buffered insertions, not yet in blocks
+	dels   []geom.Point        // buffered deletions (tombstones on block contents)
+	dead   map[geom.Point]bool // dels as a set; built by tombstones
 }
 
 type blockMeta struct {
@@ -80,7 +92,7 @@ func Create(store eio.Store, alpha int, pts []geom.Point) (*Struct, error) {
 	}
 	s := &Struct{
 		store: store,
-		rs:    eio.NewRecordStore(store),
+		rs:    *eio.NewRecordStore(store),
 		b:     eio.BlockCapacity(store.PageSize()),
 		alpha: alpha,
 	}
@@ -111,21 +123,31 @@ func Create(store eio.Store, alpha int, pts []geom.Point) (*Struct, error) {
 
 // Open attaches to a structure previously created on store.
 func Open(store eio.Store, catalog eio.PageID, alpha int) (*Struct, error) {
+	s := new(Struct)
+	if err := s.Reopen(store, catalog, alpha, new(Scratch)); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reopen attaches the existing handle s to the structure with the given
+// catalog, exactly as Open does, catalog read and validation included,
+// but decoding into sc and reusing s instead of allocating a handle. A
+// query that visits many small structures re-attaches one handle.
+func (s *Struct) Reopen(store eio.Store, catalog eio.PageID, alpha int, sc *Scratch) error {
 	if alpha == 0 {
 		alpha = DefaultAlpha
 	}
-	s := &Struct{
+	*s = Struct{
 		store:   store,
-		rs:      eio.NewRecordStore(store),
+		rs:      *eio.NewRecordStore(store),
 		b:       eio.BlockCapacity(store.PageSize()),
 		alpha:   alpha,
 		catalog: catalog,
 	}
 	// Validate eagerly so a dangling id fails here, not mid-query.
-	if _, err := s.loadCatalog(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	_, err := s.loadCatalogInto(sc)
+	return err
 }
 
 // CatalogID returns the record id that identifies this structure on its
@@ -195,13 +217,23 @@ func (s *Struct) writeScheme(pts []geom.Point) (*catalogData, error) {
 	return cat, nil
 }
 
-// loadCatalog reads and decodes the catalog record.
+// loadCatalog reads and decodes the catalog record into fresh storage.
 func (s *Struct) loadCatalog() (*catalogData, error) {
-	raw, err := s.rs.Get(s.catalog)
+	return s.loadCatalogInto(new(Scratch))
+}
+
+// loadCatalogInto reads and decodes the catalog record into sc, reusing
+// its storage. The returned catalog lives in sc.
+func (s *Struct) loadCatalogInto(sc *Scratch) (*catalogData, error) {
+	raw, err := s.rs.AppendRecord(sc.raw[:0], s.catalog)
 	if err != nil {
 		return nil, fmt.Errorf("smallstruct: load catalog: %w", err)
 	}
-	return decodeCatalog(raw)
+	sc.raw = raw
+	if err := sc.cat.decode(raw); err != nil {
+		return nil, err
+	}
+	return &sc.cat, nil
 }
 
 // storeCatalog re-encodes and writes the catalog record in place.
@@ -223,7 +255,15 @@ func (m *blockMeta) activeFor(c int64) bool {
 // Query3 appends to dst every live point satisfying q and returns the
 // extended slice. Cost: O(1) catalog pages + O(t+1) block reads.
 func (s *Struct) Query3(dst []geom.Point, q geom.Query3) ([]geom.Point, error) {
-	cat, err := s.loadCatalog()
+	return s.Query3With(dst, q, new(Scratch))
+}
+
+// Query3With is Query3 decoding the catalog into sc instead of fresh
+// storage. Matching points are filtered straight off each block's page
+// into dst, so with a reused sc and a dst of sufficient capacity the
+// query allocates nothing, however many blocks it reads.
+func (s *Struct) Query3With(dst []geom.Point, q geom.Query3, sc *Scratch) ([]geom.Point, error) {
+	cat, err := s.loadCatalogInto(sc)
 	if err != nil {
 		return dst, err
 	}
@@ -234,20 +274,16 @@ func (s *Struct) query3(dst []geom.Point, cat *catalogData, q geom.Query3) ([]ge
 	if q.Empty() {
 		return dst, nil
 	}
-	dead := tombstones(cat)
+	dead := cat.tombstones()
+	keep := func(p geom.Point) bool { return q.Contains(p) && !dead[p] }
 	for i := range cat.blocks {
 		m := &cat.blocks[i]
 		if !m.activeFor(q.YLo) || m.xlo > q.XHi || m.xhi < q.XLo || q.YLo > m.topY {
 			continue
 		}
-		pts, err := eio.ReadPointBlock(nil, s.store, m.page, int(m.count))
-		if err != nil {
+		var err error
+		if dst, err = eio.FilterPointBlock(dst, s.store, m.page, int(m.count), keep); err != nil {
 			return dst, fmt.Errorf("smallstruct: read block: %w", err)
-		}
-		for _, p := range pts {
-			if q.Contains(p) && !dead[p] {
-				dst = append(dst, p)
-			}
 		}
 	}
 	for _, p := range cat.ins {
@@ -258,16 +294,21 @@ func (s *Struct) query3(dst []geom.Point, cat *catalogData, q geom.Query3) ([]ge
 	return dst, nil
 }
 
-// tombstones returns the buffered deletions as a set.
-func tombstones(cat *catalogData) map[geom.Point]bool {
+// tombstones returns the buffered deletions as a set, rebuilt in the
+// catalog's reusable map.
+func (cat *catalogData) tombstones() map[geom.Point]bool {
 	if len(cat.dels) == 0 {
 		return nil
 	}
-	dead := make(map[geom.Point]bool, len(cat.dels))
-	for _, p := range cat.dels {
-		dead[p] = true
+	if cat.dead == nil {
+		cat.dead = make(map[geom.Point]bool, len(cat.dels))
+	} else {
+		clear(cat.dead)
 	}
-	return dead
+	for _, p := range cat.dels {
+		cat.dead[p] = true
+	}
+	return cat.dead
 }
 
 // Contains reports whether p is stored (live).
@@ -353,21 +394,17 @@ func (s *Struct) Delete(p geom.Point) (bool, error) {
 // blocks of the last rebuild partition the base set exactly, so no
 // deduplication is needed) minus tombstones, plus the insert buffer.
 func (s *Struct) all(cat *catalogData) ([]geom.Point, error) {
-	dead := tombstones(cat)
+	dead := cat.tombstones()
+	live := func(p geom.Point) bool { return !dead[p] }
 	var out []geom.Point
 	for i := range cat.blocks {
 		m := &cat.blocks[i]
 		if !m.initial {
 			continue
 		}
-		pts, err := eio.ReadPointBlock(nil, s.store, m.page, int(m.count))
-		if err != nil {
+		var err error
+		if out, err = eio.FilterPointBlock(out, s.store, m.page, int(m.count), live); err != nil {
 			return nil, fmt.Errorf("smallstruct: read block: %w", err)
-		}
-		for _, p := range pts {
-			if !dead[p] {
-				out = append(out, p)
-			}
 		}
 	}
 	out = append(out, cat.ins...)
@@ -413,7 +450,7 @@ func (s *Struct) MaxY() (geom.Point, bool, error) {
 }
 
 func (s *Struct) maxY(cat *catalogData) (geom.Point, bool, error) {
-	dead := tombstones(cat)
+	dead := cat.tombstones()
 	var best geom.Point
 	found := false
 	better := func(p geom.Point) bool {
@@ -436,6 +473,7 @@ func (s *Struct) maxY(cat *catalogData) (geom.Point, bool, error) {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
+	var pts []geom.Point
 	for _, bi := range order {
 		m := &cat.blocks[bi]
 		// Strict: a block with topY == best.Y may still hold an equal-y
@@ -448,7 +486,8 @@ func (s *Struct) maxY(cat *catalogData) (geom.Point, bool, error) {
 		// for "current maximum" we want points live right now, i.e. at
 		// every threshold — every stored non-tombstoned point is a copy of
 		// a live point, so any copy is a valid answer.
-		pts, err := eio.ReadPointBlock(nil, s.store, m.page, int(m.count))
+		var err error
+		pts, err = eio.ReadPointBlock(pts[:0], s.store, m.page, int(m.count))
 		if err != nil {
 			return best, found, fmt.Errorf("smallstruct: read block: %w", err)
 		}
@@ -566,23 +605,22 @@ func encodeCatalog(cat *catalogData) []byte {
 	return out
 }
 
-// decodeCatalog is the inverse of encodeCatalog.
-func decodeCatalog(raw []byte) (*catalogData, error) {
+// decode is the inverse of encodeCatalog. It overwrites cat, reusing its
+// storage.
+func (cat *catalogData) decode(raw []byte) error {
 	if len(raw) < 12 {
-		return nil, fmt.Errorf("smallstruct: catalog too short (%d bytes)", len(raw))
+		return fmt.Errorf("smallstruct: catalog too short (%d bytes)", len(raw))
 	}
 	nb := int(binary.LittleEndian.Uint32(raw[0:]))
 	ni := int(binary.LittleEndian.Uint32(raw[4:]))
 	nd := int(binary.LittleEndian.Uint32(raw[8:]))
 	want := 12 + blockMetaSize*nb + eio.PointSize*(ni+nd)
 	if len(raw) != want {
-		return nil, fmt.Errorf("smallstruct: catalog length %d, want %d", len(raw), want)
+		return fmt.Errorf("smallstruct: catalog length %d, want %d", len(raw), want)
 	}
-	cat := &catalogData{
-		blocks: make([]blockMeta, nb),
-		ins:    make([]geom.Point, 0, ni),
-		dels:   make([]geom.Point, 0, nd),
-	}
+	cat.blocks = slices.Grow(cat.blocks[:0], nb)[:nb]
+	cat.ins = slices.Grow(cat.ins[:0], ni)
+	cat.dels = slices.Grow(cat.dels[:0], nd)
 	off := 12
 	for i := 0; i < nb; i++ {
 		m := &cat.blocks[i]
@@ -606,5 +644,5 @@ func decodeCatalog(raw []byte) (*catalogData, error) {
 		cat.dels = append(cat.dels, eio.GetPoint(raw, off))
 		off += eio.PointSize
 	}
-	return cat, nil
+	return nil
 }
