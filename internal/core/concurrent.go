@@ -472,7 +472,11 @@ func (c *Concurrent) runBatch(batch []*pendingOp) {
 	// after an apply error: the inner store already holds the (possibly
 	// partial) new state, and readers must see a published epoch that
 	// matches it — the same torn-structure risk a serial caller of a
-	// non-durable index accepts.
+	// non-durable index accepts. The idle cached view is dropped first:
+	// its epoch is about to be superseded, and its pin would keep every
+	// pre-image this batch captured (and defer every free) through a
+	// write-only stretch until the next read.
+	c.dropIdleView()
 	if _, err := c.snap.Commit(); err != nil {
 		recordPhases()
 		c.fail(batch, fmt.Errorf("core: concurrent: publish epoch: %w", err))
@@ -663,22 +667,31 @@ func (c *Concurrent) Destroy() error {
 	if _, cerr := c.snap.Commit(); cerr != nil && err == nil {
 		err = cerr
 	}
+	c.Close()
+	return err
+}
+
+// dropIdleView unpins and forgets the cached epoch view if no query is
+// using it. A view in use stays cached; its last release unpins it once
+// a newer view replaces it.
+func (c *Concurrent) dropIdleView() {
 	c.vmu.Lock()
 	if c.cur != nil && c.cur.refs == 0 {
 		c.snap.Unpin(c.cur.epoch)
+		c.cur = nil
 	}
-	c.cur = nil
 	c.vmu.Unlock()
-	return err
 }
 
 // Close releases the reader-side machinery: the cached epoch view's pin is
 // dropped so the SnapStore can garbage-collect version memory and apply
-// deferred frees at its next Commit or Close. Call it after the last query
-// and before scrubbing or closing the store — a Concurrent that is never
-// Closed keeps its current epoch pinned forever, which makes deferred
-// frees look like leaks to eio.FindLeaks. Queries after Close simply
-// re-open a view; Close is idempotent.
+// deferred frees at its next Commit or Close. Every commit already drops
+// an idle view, so a Concurrent whose last operation was a write holds no
+// pin; Close covers the one left cached by reads since the last commit.
+// Call it after the last query and before scrubbing or closing the store,
+// or that view's pin makes deferred frees look like leaks to
+// eio.FindLeaks. Queries after Close simply re-open a view; Close is
+// idempotent.
 func (c *Concurrent) Close() {
 	c.vmu.Lock()
 	if c.cur != nil && c.cur.refs == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -174,4 +175,53 @@ func TestConcurrentParallelSnapshotQueries(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentWriteOnlyStretchHoldsNoVersions is the regression test for
+// the idle epoch-view pin: after one query caches a read view, a stretch of
+// writes with no reads must not keep that view's epoch pinned. Each commit
+// may keep at most the pre-images its own batch captured, never those of
+// earlier batches, and no free may stay deferred.
+func TestConcurrentWriteOnlyStretchHoldsNoVersions(t *testing.T) {
+	st := newFileStack(t, 4000)
+	hdr := st.idx.HeaderID()
+	c, err := NewConcurrent(NewDurable(st.idx, st.tx), st.snap,
+		func(s eio.Store) (Index, error) { return OpenThreeSided(s, hdr) }, ConcurrentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Query(nil, geom.Rect{XLo: 0, XHi: 1 << 20, YLo: 1 << 19, YHi: geom.MaxCoord}); err != nil {
+		t.Fatal(err)
+	}
+
+	var frees int64
+	for i := 0; i < 500; i++ {
+		before := st.fs.Stats()
+		if i%2 == 0 {
+			// Fresh points: every stored y is below 1<<20.
+			err = c.Insert(geom.Point{X: int64(i) * 2000, Y: 1<<20 + int64(i)})
+		} else {
+			var found bool
+			found, err = c.Delete(st.pts[i])
+			if err == nil && !found {
+				err = fmt.Errorf("delete of stored point %v found nothing", st.pts[i])
+			}
+		}
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		after := st.fs.Stats()
+		frees += int64(after.Frees - before.Frees)
+		// A batch captures at most one pre-image per page it writes or frees.
+		batchPages := int64(after.Writes-before.Writes) + int64(after.Frees-before.Frees)
+		ss := st.snap.SnapStats()
+		if ss.Versions > batchPages || ss.PendingFrees != 0 || ss.Pins != 0 {
+			t.Fatalf("after write %d: %d versions held (batch wrote or freed %d pages), %d pending frees, %d pins",
+				i, ss.Versions, batchPages, ss.PendingFrees, ss.Pins)
+		}
+	}
+	if frees == 0 {
+		t.Fatal("no write freed a page: the stretch does not exercise deferred frees")
+	}
 }

@@ -54,6 +54,9 @@ type FileStore struct {
 	// transfer stages through, so reads and writes allocate nothing. mu
 	// guards it; bytes taken from it never outlive the lock.
 	slot []byte
+	// m serves page reads from a read-only mapping of f where the
+	// platform has one (filemap_linux.go); mu guards it.
+	m fileMap
 }
 
 var _ Store = (*FileStore)(nil)
@@ -258,15 +261,19 @@ func (fs *FileStore) writePage(id PageID, data []byte, flags uint32) error {
 	return nil
 }
 
-// readPage reads page id into the slot buffer, verifies the v2 trailer,
-// and returns the page's bytes and trailer flags (pageFlagData for v1).
+// readPage reads page id into the slot buffer — copied from the file
+// mapping, or with pread where the mapping cannot serve it — verifies the
+// v2 trailer, and returns the page's bytes and trailer flags
+// (pageFlagData for v1).
 // The bytes alias the slot buffer: they are valid only until mu is
 // released, and the caller copies out what it keeps. A checksum mismatch
 // returns ErrChecksum and no bytes. Callers hold mu.
 func (fs *FileStore) readPage(id PageID) ([]byte, uint32, error) {
 	slot := fs.slotBuf()
-	if _, err := fs.f.ReadAt(slot, fs.off(id)); err != nil {
-		return nil, 0, fmt.Errorf("eio: read page %d: %w", id, err)
+	if off := fs.off(id); !fs.m.readAt(fs.f, slot, off) {
+		if _, err := fs.f.ReadAt(slot, off); err != nil {
+			return nil, 0, fmt.Errorf("eio: read page %d: %w", id, err)
+		}
 	}
 	page := slot[:fs.pageSize]
 	if fs.ver == 1 {
@@ -508,6 +515,7 @@ func (fs *FileStore) Close() error {
 		return nil
 	}
 	fs.closed = true
+	fs.m.close()
 	if err := fs.writeSuper(); err != nil {
 		fs.f.Close()
 		return err
@@ -529,6 +537,7 @@ func (fs *FileStore) CloseCrash() error {
 		return nil
 	}
 	fs.closed = true
+	fs.m.close()
 	if err := fs.f.Close(); err != nil {
 		return fmt.Errorf("eio: crash close: %w", err)
 	}
